@@ -84,8 +84,6 @@ void BM_Builder_AR(benchmark::State& state) { run_pipeline_bench(state, "AR"); }
 void BM_Builder_GOLCF(benchmark::State& state) { run_pipeline_bench(state, "GOLCF"); }
 void BM_Builder_RDF(benchmark::State& state) { run_pipeline_bench(state, "RDF"); }
 void BM_Builder_GSDF(benchmark::State& state) { run_pipeline_bench(state, "GSDF"); }
-void BM_Builder_RDFP(benchmark::State& state) { run_pipeline_bench(state, "RDFP"); }
-void BM_Builder_GSDFP(benchmark::State& state) { run_pipeline_bench(state, "GSDFP"); }
 void BM_Chain_H1H2(benchmark::State& state) {
   run_pipeline_bench(state, "GOLCF+H1+H2");
 }
@@ -117,8 +115,8 @@ void BM_ScheduleCost(benchmark::State& state) {
   }
 }
 
-// --- Scale tier: large instances through the sharded builders and the
-// binary codec (the cases the ISSUE's acceptance criteria track).
+// --- Scale tier: large instances through the RDF builder and the binary
+// codec.
 
 Instance make_scale(std::size_t servers, std::size_t objects) {
   ScaleInstanceSpec spec;
@@ -144,10 +142,6 @@ void run_scale_builder_bench(benchmark::State& state, const std::string& spec) {
 }
 
 void BM_Scale_RDF(benchmark::State& state) { run_scale_builder_bench(state, "RDF"); }
-void BM_Scale_RDFP(benchmark::State& state) { run_scale_builder_bench(state, "RDFP"); }
-void BM_Scale_GSDFP(benchmark::State& state) {
-  run_scale_builder_bench(state, "GSDFP");
-}
 
 void BM_Scale_LoadBinary(benchmark::State& state) {
   const Instance inst = make_scale(200, 50'000);
@@ -412,8 +406,6 @@ BENCHMARK(BM_Builder_GOLCF)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Builder_RDF)->Args({1000, 2})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Builder_GSDF)->Args({1000, 2})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Builder_RDFP)->Args({1000, 2})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Builder_GSDFP)->Args({1000, 2})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Chain_H1H2)->Args({250, 1})->Args({250, 2})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Chain_Full)
     ->Args({250, 2})
@@ -422,8 +414,6 @@ BENCHMARK(BM_Chain_Full)
 BENCHMARK(BM_Validator)->Arg(250)->Arg(1000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ScheduleCost)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Scale_RDF)->Arg(50000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Scale_RDFP)->Arg(50000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Scale_GSDFP)->Arg(50000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Scale_LoadBinary)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Scale_LoadText)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ObsRecordingOff)->Unit(benchmark::kMillisecond);

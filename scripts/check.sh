@@ -2,8 +2,8 @@
 # Tier-1 verification: configure, build, run the test suite, then prove the
 # tree still builds and passes with the obs instrumentation (metrics, trace,
 # provenance) compiled out via the obs_off_smoke target. Finishes with the
-# scale_smoke guard (M=500, N=100k generate -> binary round-trip -> serial
-# vs sharded solve -> validate under a time budget) and an obs smoke: a
+# scale_smoke guard (M=500, N=100k generate -> binary round-trip -> RDF
+# solve -> validate under a time budget) and an obs smoke: a
 # small faulted `rtsp execute` with the flight recorder armed, `rtsp
 # report`, and obs_lint over the journal + series files.
 #

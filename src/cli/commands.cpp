@@ -1240,15 +1240,14 @@ void print_usage(std::ostream& out) {
          "            [--retries N] [--retry-ms MS]\n"
          "  help\n"
          "\n"
-         "algorithm SPECs combine one builder (AR, GOLCF, RDF, GSDF, RDFP, GSDFP)\n"
+         "algorithm SPECs combine one builder (AR, GOLCF, RDF, GSDF)\n"
          "with improvers (H1, H2, OP1, SA, H1H2FIX), e.g. GOLCF+H1+H2+OP1.\n"
-         "RDFP/GSDFP are sharded-parallel builder passes (bit-identical to\n"
-         "their serial forms). `solve --portfolio` races pipelines under a\n"
-         "budget and polishes the winner with LNS; --budget-ticks gives a\n"
-         "deterministic virtual-time budget (bit-reproducible), --budget-ms\n"
-         "a wall-clock one. Instances may be text (rtsp-instance v1) or\n"
-         "binary (RTSPBIN1, mmap-loaded); `generate --binary` writes the\n"
-         "latter, `--kind scale` generates million-object instances fast.\n"
+         "`solve --portfolio` races pipelines under a budget and polishes the\n"
+         "winner with LNS; --budget-ticks gives a deterministic virtual-time\n"
+         "budget (bit-reproducible), --budget-ms a wall-clock one. Instances\n"
+         "may be text (rtsp-instance v1) or binary (RTSPBIN1, mmap-loaded);\n"
+         "`generate --binary` writes the latter, `--kind scale` generates\n"
+         "million-object instances fast.\n"
          "\n"
          "observability (any command):\n"
          "  --obs               print metrics + span summary after the run\n"

@@ -128,8 +128,7 @@ IncrementalEvaluator::Metrics IncrementalEvaluator::metrics(
   return m;
 }
 
-bool IncrementalEvaluator::is_valid(const Schedule& cand, const Metrics& m,
-                                    Scratch& scratch) const {
+bool IncrementalEvaluator::is_valid(const Schedule& cand, const Metrics& m) {
   OBS_COUNT(kObsIncrValidations);
   if (!base_valid_) {
     // Degenerate: without a valid base there is no suffix to converge with.
@@ -144,8 +143,8 @@ bool IncrementalEvaluator::is_valid(const Schedule& cand, const Metrics& m,
   }
   if (m.prefix == cand.size() && cand.size() == base_.size()) return true;
 
-  ExecutionState& cs = scratch.cand_state_;
-  ExecutionState& bs = scratch.base_state_;
+  ExecutionState& cs = scratch_.cand_state;
+  ExecutionState& bs = scratch_.base_state;
   // Shared prefix: replay base actions (identical to the candidate's, and
   // valid because the base is) up from the nearest checkpoint.
   const std::size_t cp = cache_.checkpoint_before(m.prefix, cs);

@@ -19,9 +19,9 @@
 //     identical states + identical remaining actions imply the candidate's
 //     suffix replays exactly like the (valid) base's, ending in X_new.
 //
-// All query methods are const and thread-safe against concurrent queries
-// when given distinct Scratch objects; adopt()/reset() require exclusive
-// access. See DESIGN.md §8 for the convergence argument.
+// metrics() and state_before() are const; is_valid() replays into the
+// engine's own buffers, so an engine serves one thread at a time. See
+// DESIGN.md §8 for the convergence argument.
 #pragma once
 
 #include <cstddef>
@@ -91,19 +91,6 @@ class IncrementalEvaluator {
     std::size_t cand_suffix_start = 0;  ///< candidate index of the shared tail
   };
 
-  /// Replay buffers for is_valid(); one per thread when screening candidates
-  /// concurrently.
-  class Scratch {
-   public:
-    Scratch(const SystemModel& model, const ReplicationMatrix& x_old)
-        : cand_state_(model, x_old), base_state_(model, x_old) {}
-
-   private:
-    friend class IncrementalEvaluator;
-    ExecutionState cand_state_;
-    ExecutionState base_state_;
-  };
-
   /// Takes ownership of `base` and replays it once (cost, dummies, validity,
   /// checkpoints). `model`, `x_old` and `x_new` must outlive the evaluator.
   IncrementalEvaluator(const SystemModel& model, const ReplicationMatrix& x_old,
@@ -131,13 +118,10 @@ class IncrementalEvaluator {
 
   /// Incremental equivalent of Validator::is_valid(model, x_old, x_new,
   /// cand). `m` must come from metrics() on the same candidate.
-  bool is_valid(const Schedule& cand, const Metrics& m, Scratch& scratch) const;
-  bool is_valid(const Schedule& cand, const Metrics& m) {
-    return is_valid(cand, m, scratch_);
-  }
+  bool is_valid(const Schedule& cand, const Metrics& m);
 
   /// Writes the state after the first `pos` actions of the base schedule
-  /// into `out`. Thread-safe; O(spacing) worst case.
+  /// into `out`. O(spacing) worst case.
   void state_before(std::size_t pos, ExecutionState& out) const {
     cache_.state_before(base_, pos, out);
   }
@@ -162,6 +146,14 @@ class IncrementalEvaluator {
   Schedule take_schedule() { return std::move(base_); }
 
  private:
+  /// Replay buffers for is_valid().
+  struct Scratch {
+    Scratch(const SystemModel& model, const ReplicationMatrix& x_old)
+        : cand_state(model, x_old), base_state(model, x_old) {}
+    ExecutionState cand_state;
+    ExecutionState base_state;
+  };
+
   void rebuild_summary();
 
   const SystemModel& model_;

@@ -11,12 +11,12 @@
 //   * a wall-clock deadline for production `--budget-ms` runs, where
 //     reproducibility is traded for a hard latency bound.
 //
-// Charging uses relaxed atomics: concurrent screeners (OP1P waves) may charge
-// in any order, but sums are commutative, so totals observed at deterministic
-// poll points (between candidates, waves, rounds) are themselves
-// deterministic. An unarmed meter never reports exhaustion, and a null meter
-// pointer on the evaluator is the default: unbudgeted runs are bit-identical
-// to the pre-portfolio behavior.
+// Each pipeline charges its own meter from the one thread that drives it, in
+// a fixed order, so totals observed at its poll points (between candidates,
+// rounds) are deterministic. The counters are relaxed atomics, so polling a
+// meter from another thread stays safe. An unarmed meter never reports
+// exhaustion, and a null meter pointer on the evaluator is the default:
+// unbudgeted runs are bit-identical to the pre-portfolio behavior.
 #pragma once
 
 #include <atomic>

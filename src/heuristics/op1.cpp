@@ -1,12 +1,10 @@
 #include "heuristics/op1.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "core/cost_model.hpp"
 #include "heuristics/surgery.hpp"
 #include "obs/obs.hpp"
-#include "support/thread_pool.hpp"
 
 namespace rtsp {
 
@@ -18,7 +16,9 @@ class Op1Run {
       : eval_(eval),
         model_(eval.model()),
         x_old_(eval.x_old()),
-        options_(options) {}
+        options_(options),
+        prefix_state_(model_, x_old_),
+        holds_(model_.num_servers(), 0) {}
 
   void run() {
     build_index(eval_.schedule());
@@ -30,13 +30,6 @@ class Op1Run {
     // OP1 edits only move actions and change transfer sources, so every
     // object's transfer count — and therefore the round list — is invariant
     // for the whole run.
-    std::optional<ThreadPool> pool;
-    if (options_.parallel_screen) pool.emplace(options_.threads);
-    const std::size_t wave = pool ? std::max<std::size_t>(2 * pool->size(), 1) : 1;
-    std::vector<Slot> slots;
-    slots.reserve(wave);
-    for (std::size_t w = 0; w < wave; ++w) slots.emplace_back(model_, x_old_);
-
     std::size_t changes = 0;
     std::size_t round = 0;
     ObjectId resume_object = round_objects_.front();
@@ -56,61 +49,25 @@ class Op1Run {
         }
       }
       bool adopted = false;
-      bool budget_hit = false;
-      for (std::size_t step = 0; step < round_objects_.size() && !adopted;) {
-        // Anytime budget poll between waves: a wave always screens to
-        // completion, so in tick mode the stop point is deterministic for a
-        // fixed wave size (OP1 serial; OP1P's depends on the worker count).
-        if (eval_.out_of_budget()) {
-          budget_hit = true;
-          break;
-        }
-        const std::size_t n = std::min(wave, round_objects_.size() - step);
-        // Screening has no side effects on the engine, so the wave's
-        // candidates are all computed against the same base; adopting the
-        // earliest hit in scan order reproduces the sequential run exactly.
-        const auto screen_slot = [&](std::size_t w) {
-          const std::size_t idx = (start + step + w) % round_objects_.size();
-          slots[w].found = screen_object(round_objects_[idx], slots[w]);
-        };
-        if (pool && n > 1) {
-          parallel_for(*pool, n, screen_slot);
-        } else {
-          for (std::size_t w = 0; w < n; ++w) screen_slot(w);
-        }
-        for (std::size_t w = 0; w < n; ++w) {
-          if (!slots[w].found) continue;
-          const std::size_t idx = (start + step + w) % round_objects_.size();
-          OBS_COUNT("op1.adopted");
-          eval_.adopt(slots[w].cand, slots[w].m);  // copy; the slot buffer stays warm
-          update_index(eval_.schedule(), slots[w].m.prefix, slots[w].m.cand_suffix_start);
-          resume_object = round_objects_[idx];
-          adopted = true;
-          break;
-        }
-        step += n;
+      for (std::size_t step = 0; step < round_objects_.size(); ++step) {
+        // Anytime budget poll between objects: an object always screens to
+        // completion, so in tick mode the stop point is deterministic.
+        if (eval_.out_of_budget()) break;
+        const ObjectId k = round_objects_[(start + step) % round_objects_.size()];
+        if (!screen_object(k)) continue;
+        OBS_COUNT("op1.adopted");
+        eval_.adopt(cand_, m_);  // copy; the candidate buffer stays warm
+        update_index(eval_.schedule(), m_.prefix, m_.cand_suffix_start);
+        resume_object = k;
+        adopted = true;
+        break;
       }
-      if (!adopted || budget_hit) break;
+      if (!adopted) break;
       if (options_.max_changes != 0 && ++changes >= options_.max_changes) break;
     }
   }
 
  private:
-  /// Per-worker buffers: everything a screen needs so concurrent screens
-  /// share only the const engine.
-  struct Slot {
-    Slot(const SystemModel& model, const ReplicationMatrix& x_old)
-        : prefix_state(model, x_old),
-          eval_scratch(model, x_old),
-          holds(model.num_servers(), 0) {}
-    ExecutionState prefix_state;
-    IncrementalEvaluator::Scratch eval_scratch;
-    std::vector<char> holds;
-    Schedule cand;
-    IncrementalEvaluator::Metrics m;
-    bool found = false;
-  };
-
   void build_index(const Schedule& h) {
     events_.assign(model_.num_objects(), {});
     transfers_.assign(model_.num_objects(), {});
@@ -154,11 +111,9 @@ class Op1Run {
     list.insert(list.begin() + static_cast<std::ptrdiff_t>(at), add.begin(), add.end());
   }
 
-  /// First improving pair for object `k`, in the same (a, b) scan order as
-  /// the original sequential implementation. On success the candidate and
-  /// its metrics are left in `s`. Const against the engine: safe to run for
-  /// several objects concurrently with distinct slots.
-  bool screen_object(ObjectId k, Slot& s) const {
+  /// First improving pair for object `k` in (a, b) scan order. On success
+  /// the candidate and its metrics are left in cand_ and m_.
+  bool screen_object(ObjectId k) {
     const Schedule& h = eval_.schedule();
     const std::vector<std::size_t>& positions = transfers_[k];
     for (std::size_t a = 0; a + 1 < positions.size(); ++a) {
@@ -166,16 +121,16 @@ class Op1Run {
         const std::size_t u = positions[a];
         const std::size_t v = positions[b];
         OBS_COUNT("op1.candidates");
-        if (options_.prescreen && estimate_delta(h, k, u, v, s.holds) >= 0) {
+        if (options_.prescreen && estimate_delta(h, k, u, v) >= 0) {
           OBS_COUNT("op1.prescreen_rejects");
           continue;
         }
         EditWindow touched;
-        if (!build_candidate(h, u, v, s, touched)) continue;
-        const auto m = eval_.metrics(s.cand, touched.lo, s.cand.size() - touched.hi);
+        if (!build_candidate(h, u, v, touched)) continue;
+        const auto m = eval_.metrics(cand_, touched.lo, cand_.size() - touched.hi);
         if (m.cost >= eval_.cost()) continue;
-        if (!eval_.is_valid(s.cand, m, s.eval_scratch)) continue;
-        s.m = m;
+        if (!eval_.is_valid(cand_, m)) continue;
+        m_ = m;
         return true;
       }
     }
@@ -186,22 +141,21 @@ class Op1Run {
   /// potentially improving). Capacity penalties are ignored here; the exact
   /// candidate cost decides adoption. O(|k's actions|) via the position
   /// index instead of a full-schedule scan.
-  Cost estimate_delta(const Schedule& h, ObjectId k, std::size_t u, std::size_t v,
-                      std::vector<char>& holds) const {
+  Cost estimate_delta(const Schedule& h, ObjectId k, std::size_t u, std::size_t v) {
     const ServerId i = h[v].server;
     if (h[u].server == i) return 0;
 
     // Replicators of k just before position u: replay only k's actions.
-    std::fill(holds.begin(), holds.end(), 0);
-    x_old_.for_each_replicator(k, [&](ServerId s) { holds[s] = 1; });
+    std::fill(holds_.begin(), holds_.end(), 0);
+    x_old_.for_each_replicator(k, [&](ServerId s) { holds_[s] = 1; });
     for (std::size_t p : events_[k]) {
       if (p >= u) break;
       const Action& a = h[p];
-      holds[a.server] = a.is_transfer() ? 1 : 0;
+      holds_[a.server] = a.is_transfer() ? 1 : 0;
     }
     LinkCost new_src = model_.dummy_link_cost();
     for (ServerId s : model_.neighbors_by_cost(i)) {
-      if (holds[s]) {
+      if (holds_[s]) {
         new_src = model_.costs().at(i, s);
         break;
       }
@@ -220,14 +174,14 @@ class Op1Run {
     return delta;
   }
 
-  /// Mechanically constructs the paper's H' in s.cand: move v's transfer
+  /// Mechanically constructs the paper's H' in cand_: move v's transfer
   /// before u's enabling deletion run, re-source it, repair capacity (cases
   /// iii/iv) and re-source the object's later transfers that benefit.
   /// Returns false when the capacity repair fails; validity is checked by
   /// the caller. All mutations lie in [insert_point, v]; positions past v
   /// still match the base, so the tail scans walk the position index.
-  bool build_candidate(const Schedule& h, std::size_t u, std::size_t v, Slot& s,
-                       EditWindow& touched) const {
+  bool build_candidate(const Schedule& h, std::size_t u, std::size_t v,
+                       EditWindow& touched) {
     const ServerId i = h[v].server;
     const ObjectId k = h[v].object;
     if (h[u].server == i) return false;
@@ -240,25 +194,25 @@ class Op1Run {
       --insert_point;
     }
 
-    s.cand = h;
-    move_action_earlier(s.cand, v, insert_point, &touched);
+    cand_ = h;
+    move_action_earlier(cand_, v, insert_point, &touched);
     std::size_t t_pos = insert_point;
 
     // Re-source the moved transfer to the nearest replicator at its new
     // position (the paper's T_ikN(i,k,X^u)). The prefix [0, t_pos) equals
     // the base's, so the state comes from the engine's checkpoint cache.
-    eval_.state_before(t_pos, s.prefix_state);
+    eval_.state_before(t_pos, prefix_state_);
     {
-      const auto nearest = model_.nearest_replicator(i, k, s.prefix_state.placement());
-      s.cand[t_pos].source = nearest ? *nearest : kDummyServer;
+      const auto nearest = model_.nearest_replicator(i, k, prefix_state_.placement());
+      cand_[t_pos].source = nearest ? *nearest : kDummyServer;
     }
 
     // Cases (iii)/(iv): make room at S_i by pulling its deletions forward,
     // re-sourcing any orphaned readers to their nearest alternative.
     const auto repair =
-        pull_deletions_for_space(model_, x_old_, s.cand, t_pos, v,
+        pull_deletions_for_space(model_, x_old_, cand_, t_pos, v,
                                  OrphanPolicy::NearestElseDummy, &touched,
-                                 &s.prefix_state);
+                                 &prefix_state_);
     if (!repair.ok) return false;
     t_pos = repair.t_pos;
 
@@ -266,15 +220,15 @@ class Op1Run {
     // but only while S_i still holds k (a later deletion of (i, k) bounds
     // the window; H2's temporary replicas make this reachable). The mutated
     // region ends at v; beyond it cand == base, so the index takes over.
-    std::size_t bound = s.cand.size();
-    for (std::size_t p = t_pos + 1; p <= v && p < s.cand.size(); ++p) {
-      const Action& a = s.cand[p];
+    std::size_t bound = cand_.size();
+    for (std::size_t p = t_pos + 1; p <= v && p < cand_.size(); ++p) {
+      const Action& a = cand_[p];
       if (a.is_delete() && a.server == i && a.object == k) {
         bound = p;
         break;
       }
     }
-    if (bound == s.cand.size()) {
+    if (bound == cand_.size()) {
       for (std::size_t p : events_[k]) {
         if (p <= v) continue;
         if (h[p].is_delete() && h[p].server == i) {
@@ -284,7 +238,7 @@ class Op1Run {
       }
     }
     const auto resource = [&](std::size_t p) {
-      Action& a = s.cand[p];
+      Action& a = cand_[p];
       if (!a.is_transfer() || a.server == i) return;
       const LinkCost cur = model_.source_link_cost(a.server, a.source);
       const LinkCost via_i = model_.costs().at(a.server, i);
@@ -294,7 +248,7 @@ class Op1Run {
       }
     };
     for (std::size_t p = t_pos + 1; p < bound && p <= v; ++p) {
-      if (s.cand[p].object == k) resource(p);
+      if (cand_[p].object == k) resource(p);
     }
     for (std::size_t p : events_[k]) {
       if (p <= v) continue;
@@ -308,6 +262,12 @@ class Op1Run {
   const SystemModel& model_;
   const ReplicationMatrix& x_old_;
   const Op1Options& options_;
+
+  // Candidate buffers, reused across screens (kept hot across adoptions).
+  ExecutionState prefix_state_;
+  std::vector<char> holds_;  ///< estimate_delta's replicator mask
+  Schedule cand_;
+  IncrementalEvaluator::Metrics m_;
 
   /// Sorted positions of every action / every transfer of each object in
   /// the engine's base schedule, maintained incrementally across adoptions.
@@ -331,8 +291,6 @@ Schedule Op1Improver::improve(const SystemModel& model, const ReplicationMatrix&
 }
 
 void Op1Improver::improve_incremental(IncrementalEvaluator& eval, Rng& /*rng*/) const {
-  // Both the sequential and parallel-screen variants adopt on this thread in
-  // scan order, so the recorded provenance is identical for OP1 and OP1P.
   const prov::StageScope stage(prov::StageKind::Improver, name());
   Op1Run(eval, options_).run();
 }

@@ -31,13 +31,6 @@ struct Op1Options {
   bool prescreen = true;
   /// Safety cap on adopted changes (0 = unlimited).
   std::size_t max_changes = 0;
-  /// Screen candidate pairs for several objects concurrently (prescreen +
-  /// candidate build + incremental validation per worker), adopting the
-  /// first improving candidate in deterministic scan order — output is
-  /// bitwise identical to the sequential run.
-  bool parallel_screen = false;
-  /// Worker count for parallel_screen (0 = hardware concurrency).
-  std::size_t threads = 0;
 };
 
 class Op1Improver final : public ScheduleImprover {

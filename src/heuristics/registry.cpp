@@ -11,7 +11,6 @@
 #include "heuristics/h2.hpp"
 #include "heuristics/op1.hpp"
 #include "heuristics/rdf.hpp"
-#include "heuristics/sharded_build.hpp"
 #include "support/string_util.hpp"
 
 namespace rtsp {
@@ -24,9 +23,6 @@ BuilderPtr make_builder(const std::string& token) {
   if (t == "golcf") return std::make_shared<GolcfBuilder>();
   if (t == "rdf") return std::make_shared<RdfBuilder>();
   if (t == "gsdf") return std::make_shared<GsdfBuilder>();
-  // Sharded parallel passes; bit-identical schedules (heuristics/sharded_build.hpp).
-  if (t == "rdfp") return std::make_shared<ShardedRdfBuilder>();
-  if (t == "gsdfp") return std::make_shared<ShardedGsdfBuilder>();
   return nullptr;
 }
 
@@ -35,12 +31,6 @@ ImproverPtr make_improver(const std::string& token) {
   if (t == "h1") return std::make_shared<H1Improver>();
   if (t == "h2") return std::make_shared<H2Improver>();
   if (t == "op1") return std::make_shared<Op1Improver>();
-  if (t == "op1p") {
-    // OP1 with parallel candidate screening; bitwise-identical schedules.
-    Op1Options options;
-    options.parallel_screen = true;
-    return std::make_shared<Op1Improver>(options);
-  }
   if (t == "sa") return std::make_shared<AnnealingImprover>();
   if (t == "h1h2fix") {
     // H1 and H2 alternated to a fixpoint (see heuristics/fixpoint.hpp).
@@ -75,11 +65,11 @@ Pipeline make_pipeline(const std::string& spec) {
 }
 
 std::vector<std::string> known_builders() {
-  return {"AR", "GOLCF", "RDF", "GSDF", "RDFP", "GSDFP"};
+  return {"AR", "GOLCF", "RDF", "GSDF"};
 }
 
 std::vector<std::string> known_improvers() {
-  return {"H1", "H2", "OP1", "OP1P", "SA", "H1H2FIX"};
+  return {"H1", "H2", "OP1", "SA", "H1H2FIX"};
 }
 
 }  // namespace rtsp

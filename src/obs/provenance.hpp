@@ -177,10 +177,9 @@ constexpr Recorder* current() noexcept { return nullptr; }
 #endif
 
 /// Builds the provenance table while builders/improvers run. All hooks are
-/// invoked on the thread that mutates the schedule (OP1P adopts on the
-/// orchestrating thread, so parallel screening needs no synchronization
-/// here). The recorder keeps its own copy of the evolving schedule, which
-/// lets it diff full replacements and verify it never drifted out of sync.
+/// invoked on the thread that mutates the schedule. The recorder keeps its
+/// own copy of the evolving schedule, which lets it diff full replacements
+/// and verify it never drifted out of sync.
 class Recorder {
  public:
   Recorder(const SystemModel& model, const ReplicationMatrix& x_old);

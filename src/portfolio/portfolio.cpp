@@ -133,8 +133,6 @@ BudgetedRun run_candidate(const SystemModel& model, const ReplicationMatrix& x_o
 std::vector<std::string> default_portfolio_algorithms() {
   return {
       "GOLCF+H1+H2+OP1",    // the paper's flagship chain
-      "RDFP+H1+H2+OP1",     // sharded redistribution seed
-      "GSDFP+H1+H2+OP1",    // sharded global-smallest seed
       "AR+H1+H2+OP1",       // randomized seed, diversification
       "GOLCF+H1H2FIX+OP1",  // dummy-fixpoint variant
       "GOLCF+SA",           // stochastic baseline
@@ -164,6 +162,12 @@ PortfolioResult solve_portfolio(const SystemModel& model,
   std::vector<Pipeline> pipes;
   pipes.reserve(algos.size());
   for (const std::string& spec : algos) pipes.push_back(make_pipeline(spec));
+
+  // The race reads both placements from every pool thread; a sparse store
+  // compacts its dirty server lists lazily inside const reads, so settle
+  // them here, before the threads start (core/sparse_index.hpp).
+  x_old.prepare_shared_reads();
+  x_new.prepare_shared_reads();
 
   Incumbent incumbent;
   std::vector<BudgetedRun> runs(algos.size());

@@ -34,9 +34,7 @@ struct PortfolioOptions {
 };
 
 /// The default race roster: the paper's flagship chain plus re-seeded and
-/// stochastic variants. OP1P is deliberately absent — its budgeted stop
-/// points depend on the worker count, which would break cross-machine
-/// reproducibility (DESIGN.md §13).
+/// stochastic variants.
 std::vector<std::string> default_portfolio_algorithms();
 
 /// Outcome of one raced candidate (in roster order).

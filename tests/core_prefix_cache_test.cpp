@@ -8,7 +8,6 @@
 #include "core/cost_model.hpp"
 #include "core/incremental.hpp"
 #include "core/validator.hpp"
-#include "heuristics/op1.hpp"
 #include "heuristics/registry.hpp"
 #include "heuristics/surgery.hpp"
 #include "test_helpers.hpp"
@@ -32,14 +31,13 @@ Schedule seed_schedule(const Instance& inst, std::uint64_t trial) {
 }
 
 /// Ground truth for one candidate against one evaluator.
-void expect_matches_full_evaluation(const IncrementalEvaluator& eval,
+void expect_matches_full_evaluation(IncrementalEvaluator& eval,
                                     const Schedule& cand, const Instance& inst,
                                     std::size_t prefix_hint, std::size_t suffix_hint) {
   const auto m = eval.metrics(cand, prefix_hint, suffix_hint);
   EXPECT_EQ(m.cost, schedule_cost(inst.model, cand));
   EXPECT_EQ(m.dummy_transfers, cand.dummy_transfer_count());
-  IncrementalEvaluator::Scratch scratch(inst.model, inst.x_old);
-  EXPECT_EQ(eval.is_valid(cand, m, scratch),
+  EXPECT_EQ(eval.is_valid(cand, m),
             Validator::is_valid(inst.model, inst.x_old, inst.x_new, cand));
 }
 
@@ -151,39 +149,6 @@ TEST(IncrementalEvaluator, HandlesInvalidBaseByFullFallback) {
   EXPECT_FALSE(eval.base_valid());
   expect_matches_full_evaluation(eval, valid, inst, 0, 0);
   expect_matches_full_evaluation(eval, h, inst, 0, 0);
-}
-
-TEST(Op1ParallelScreen, ProducesByteIdenticalSchedules) {
-  for (std::uint64_t trial = 0; trial < 10; ++trial) {
-    const Instance inst = make_instance(trial);
-    Rng build_rng = Rng::for_trial(0xA0B1, trial);
-    const Schedule start =
-        make_pipeline("GOLCF+H1+H2").run(inst.model, inst.x_old, inst.x_new,
-                                         build_rng);
-
-    Op1Options sequential;
-    Op1Options parallel;
-    parallel.parallel_screen = true;
-    parallel.threads = 4;
-    for (const auto restart :
-         {Op1Options::Restart::FromStart, Op1Options::Restart::Continue}) {
-      sequential.restart = restart;
-      parallel.restart = restart;
-      Rng rng_seq(1);
-      Rng rng_par(1);
-      const Schedule a = Op1Improver(sequential)
-                             .improve(inst.model, inst.x_old, inst.x_new, start,
-                                      rng_seq);
-      const Schedule b = Op1Improver(parallel)
-                             .improve(inst.model, inst.x_old, inst.x_new, start,
-                                      rng_par);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t p = 0; p < a.size(); ++p) {
-        EXPECT_EQ(a[p], b[p]) << "trial " << trial << " position " << p;
-      }
-      EXPECT_EQ(schedule_cost(inst.model, a), schedule_cost(inst.model, b));
-    }
-  }
 }
 
 }  // namespace

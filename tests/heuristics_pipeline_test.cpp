@@ -37,13 +37,17 @@ TEST(Registry, RejectsUnknownNames) {
   EXPECT_THROW(make_pipeline("GOLCF+NOPE"), std::invalid_argument);
   EXPECT_THROW(make_pipeline("H1"), std::invalid_argument);        // improver first
   EXPECT_THROW(make_pipeline("GOLCF+AR"), std::invalid_argument);  // builder later
+  // Retired parallel twins of RDF, GSDF and OP1.
+  EXPECT_THROW(make_pipeline("RDFP"), std::invalid_argument);
+  EXPECT_THROW(make_pipeline("GSDFP"), std::invalid_argument);
+  EXPECT_THROW(make_pipeline("GOLCF+OP1P"), std::invalid_argument);
 }
 
 TEST(Registry, KnownListsAreStable) {
-  EXPECT_EQ(known_builders(), (std::vector<std::string>{"AR", "GOLCF", "RDF",
-                                                        "GSDF", "RDFP", "GSDFP"}));
+  EXPECT_EQ(known_builders(),
+            (std::vector<std::string>{"AR", "GOLCF", "RDF", "GSDF"}));
   EXPECT_EQ(known_improvers(),
-            (std::vector<std::string>{"H1", "H2", "OP1", "OP1P", "SA", "H1H2FIX"}));
+            (std::vector<std::string>{"H1", "H2", "OP1", "SA", "H1H2FIX"}));
 }
 
 class PipelineRun : public testing::TestWithParam<std::string> {};
@@ -63,10 +67,9 @@ TEST_P(PipelineRun, EveryComboProducesValidSchedules) {
 
 INSTANTIATE_TEST_SUITE_P(
     Combos, PipelineRun,
-    testing::Values("AR", "GOLCF", "RDF", "GSDF", "RDFP", "GSDFP", "AR+H1+H2",
-                    "GOLCF+H1+H2", "GOLCF+OP1", "GOLCF+H1+H2+OP1",
-                    "RDF+H1+H2+OP1", "GSDF+H2+H1+OP1", "RDFP+H1+H2+OP1",
-                    "GSDFP+H2+H1+OP1"),
+    testing::Values("AR", "GOLCF", "RDF", "GSDF", "AR+H1+H2", "GOLCF+H1+H2",
+                    "GOLCF+OP1", "GOLCF+H1+H2+OP1", "RDF+H1+H2+OP1",
+                    "GSDF+H2+H1+OP1"),
     [](const auto& info) {
       std::string name = info.param;
       for (char& c : name) {

@@ -215,10 +215,10 @@ TEST(ExecutorJournal, RecordingOnOrOffIsBitIdentical) {
 }
 
 TEST(ExecutorJournal, SolversBitIdenticalWithTracingAndSamplingOn) {
-  // RDFP/GSDFP (sharded-parallel builders) with the full recorder armed must
-  // produce the same schedule as a bare run: instrumentation never steers.
+  // RDF/GSDF pipelines with the full recorder armed must produce the same
+  // schedule as a bare run: instrumentation never steers.
   const Instance inst = medium_instance(7);
-  for (const char* algo : {"RDFP+H1", "GSDFP+H2"}) {
+  for (const char* algo : {"RDF+H1", "GSDF+H2"}) {
     Rng rng_off(9);
     const Schedule off =
         make_pipeline(algo).run(inst.model, inst.x_old, inst.x_new, rng_off);

@@ -310,13 +310,13 @@ TEST_F(ObsTraceTest, ExportedTraceParsesAsChromeTraceEvents) {
 
 /// Instrumentation must never change algorithm output: the same pipeline,
 /// seeds and instance produce bit-identical schedules with tracing on and
-/// off — including OP1P's parallel candidate screening.
+/// off.
 TEST_F(ObsTraceTest, TracingDoesNotChangeSchedules) {
   PaperSetup setup;
   setup.servers = 30;
   setup.objects = 200;
 
-  for (const char* spec : {"GOLCF+H1+H2+OP1", "GOLCF+OP1P"}) {
+  for (const char* spec : {"GOLCF+H1+H2+OP1", "GOLCF+OP1"}) {
     const Pipeline pipeline = make_pipeline(spec);
     const auto run_once = [&] {
       Rng inst_rng(7);

@@ -184,6 +184,40 @@ TEST(Portfolio, BudgetedSingleRunIsDeterministicAndMatchesCandidate) {
   EXPECT_EQ(r.candidates[1].ticks_used, a.ticks_used);
 }
 
+/// Copies `dense` into a sparse-store matrix through set(), which leaves
+/// every server's object list dirty (uncompacted), as a placement the daemon
+/// has just mutated would be.
+ReplicationMatrix dirty_sparse_copy(const ReplicationMatrix& dense) {
+  ReplicationMatrix out(dense.num_servers(), dense.num_objects(),
+                        ReplicationMatrix::Store::kSparse);
+  for (ObjectId k = 0; k < dense.num_objects(); ++k) {
+    dense.for_each_replicator(k, [&](ServerId i) { out.set(i, k); });
+  }
+  return out;
+}
+
+TEST(Portfolio, DirtySparsePlacementsRaceLikeDenseOnes) {
+  // The race threads share both placements; sparse ones compact their server
+  // lists lazily on read, so the race must settle them first. Run under
+  // ThreadSanitizer this case is the data-race regression test.
+  RandomInstanceSpec spec;
+  spec.servers = 40;
+  spec.objects = 2'000;
+  Rng rng(5);
+  const Instance inst = random_instance(spec, rng);
+  ASSERT_TRUE(inst.x_old.is_dense());
+  const ReplicationMatrix x_old = dirty_sparse_copy(inst.x_old);
+  const ReplicationMatrix x_new = dirty_sparse_copy(inst.x_new);
+  ASSERT_TRUE(x_old.is_sparse());
+
+  const PortfolioResult dense = solve_portfolio(inst.model, inst.x_old, inst.x_new,
+                                                7, tick_options(200'000, 4));
+  const PortfolioResult sparse =
+      solve_portfolio(inst.model, x_old, x_new, 7, tick_options(200'000, 4));
+  expect_same_result(dense, sparse);
+  EXPECT_TRUE(Validator::is_valid(inst.model, x_old, x_new, sparse.schedule));
+}
+
 TEST(Portfolio, UnknownSpecThrows) {
   const Instance inst = test_instance();
   PortfolioOptions opts = tick_options(1'000);
