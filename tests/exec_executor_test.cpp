@@ -101,7 +101,9 @@ TEST(Executor, CertainFailureDegradesToDummyAndTerminates) {
   EXPECT_GT(r.effective_dummy_transfers, r.planned_dummy_transfers);
   // No real-source transfer can ever succeed at rate 1.0.
   for (const Action& a : r.effective.actions()) {
-    if (a.is_transfer()) EXPECT_TRUE(is_dummy(a.source)) << a.to_string();
+    if (a.is_transfer()) {
+      EXPECT_TRUE(is_dummy(a.source)) << a.to_string();
+    }
   }
 }
 

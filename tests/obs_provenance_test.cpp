@@ -199,7 +199,9 @@ TEST(Provenance, FixpointRoundsAreRecorded) {
     EXPECT_LT(rw.stage, r.p.stages.size());
     EXPECT_GE(rw.rank, 1u);
   }
-  if (!r.p.rewrites.empty()) EXPECT_TRUE(saw_round);
+  if (!r.p.rewrites.empty()) {
+    EXPECT_TRUE(saw_round);
+  }
 }
 
 TEST(Provenance, AttributeScheduleOnEmptyProvenance) {
@@ -217,7 +219,9 @@ TEST(Provenance, ScopeWithoutRecorderCompiledIsInert) {
   const Instance inst = testutil::fig3_instance();
   prov::Scope scope(inst.model, inst.x_old);
   const prov::Provenance p = scope.finalize(Schedule{});
-  if (!prov::kRecorderCompiled) EXPECT_TRUE(p.empty());
+  if (!prov::kRecorderCompiled) {
+    EXPECT_TRUE(p.empty());
+  }
 }
 
 }  // namespace
